@@ -408,7 +408,8 @@ func (l *Live) RecoverErr() error {
 // writeCheckpoint captures and durably writes one checkpoint. Called on
 // the driver goroutine with the engine quiescent (OnAdvance, or Sync via
 // Snapshot). Failures are counted, not fatal: the WAL remains the source
-// of truth and an older checkpoint still bounds recovery time.
+// of truth, and recovery replays it from t=0 either way, using a
+// checkpoint only as a Verify point.
 func (l *Live) writeCheckpoint() {
 	snap, err := l.capture()
 	if err == nil {

@@ -11,11 +11,11 @@ import (
 )
 
 // The federation's cross-LP message codec. Inter-city traffic travels
-// through the shard kernel as (kind, payload) messages rather than
-// closures, so the same scenario runs unchanged whether its cities share
-// a process or are partitioned across df3node workers: the payload
-// crosses the wire, the decoder below rebuilds the identical event on
-// the destination node. Encoding is little-endian and bit-exact
+// through the shard kernel as (kind, payload) messages, the kernel's
+// only message form, so the same scenario runs unchanged whether its
+// cities share a process or are partitioned across df3node workers: the
+// payload crosses the wire, the decoder below rebuilds the identical
+// event on the destination node. Encoding is little-endian and bit-exact
 // (float64s as their IEEE bits), because a decoded job must be
 // indistinguishable from a locally-constructed one.
 
@@ -56,7 +56,7 @@ func decodeJob(p []byte) (workload.BatchJob, error) {
 }
 
 // decodeMsg is the federation's shard.Decoder: it turns a payload
-// message into the event closure its sender would have enqueued locally.
+// message into the event that runs on the destination city.
 func (f *Federation) decodeMsg(dst *shard.LP, kind uint32, payload []byte) (func(), error) {
 	switch kind {
 	case MsgKindInterCityJob:

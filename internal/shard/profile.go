@@ -8,23 +8,23 @@ import (
 )
 
 // kernelProfile accumulates the profiler's raw counters. Wall-clock reads
-// are pure observation of host execution — they never feed back into
-// simulation state — and happen only when profiling is enabled, so an
-// unprofiled run reads no clock at all.
+// are pure observation of host execution, never simulation state, and
+// happen only when profiling is enabled: an unprofiled run reads no clock.
 type kernelProfile struct {
 	now func() time.Time
 	// busy[s] is shard s's cumulative wall time advancing engines; only
 	// worker s writes it, the coordinator reads between windows.
 	busy []time.Duration
-	// wall is cumulative window wall time on the coordinator: the barrier-
-	// synchronous span every shard must cross. busy[s] ≤ wall; the gap is
-	// shard s's barrier idle.
+	// wall is cumulative window wall time: the barrier-synchronous span
+	// every shard must cross. busy[s] ≤ wall; the gap is s's barrier idle.
 	wall time.Duration
+	// proposer is the LP behind the last NextEvent proposal (-1: none)
+	// and proposedAt its event time, pending attribution in RunWindow.
+	proposer   int
+	proposedAt sim.Time
 	// limiter[lp] counts windows whose barrier was set by lp's
-	// min-next-event — the LP the whole federation waited for.
-	limiter []uint64
-	// limitedWindows counts windows that had a limiter (the catch-up
-	// window and Infinite-lookahead runs have none).
+	// min-next-event; limitedWindows counts windows that had a limiter.
+	limiter        []uint64
 	limitedWindows uint64
 }
 
@@ -41,9 +41,32 @@ func (k *Kernel) EnableProfile() {
 	}
 	k.prof = &kernelProfile{
 		//df3:allow(detrand) profiler wall time measures host execution only; it never enters simulation state
-		now:  time.Now,
-		busy: make([]time.Duration, k.shards),
+		now:      time.Now,
+		busy:     make([]time.Duration, k.shards),
+		proposer: -1,
 	}
+}
+
+// propose records the kernel's barrier proposal: lp's next event at t.
+func (p *kernelProfile) propose(lp int, t sim.Time) {
+	p.proposer, p.proposedAt = lp, t
+}
+
+// attribute credits the window ending at end to the pending proposer when
+// its event lies inside the window — the proposal opened it — and clears
+// the proposal. A proposal at or past end opened nothing: the coordinator
+// found no work before its horizon and this is the catch-up window.
+func (p *kernelProfile) attribute(end sim.Time) {
+	lp := p.proposer
+	p.proposer = -1
+	if lp < 0 || p.proposedAt >= end {
+		return
+	}
+	for len(p.limiter) <= lp {
+		p.limiter = append(p.limiter, 0)
+	}
+	p.limiter[lp]++
+	p.limitedWindows++
 }
 
 // ShardProfile is one shard's execution accounting over a profiled run.
@@ -92,12 +115,19 @@ type ProfileReport struct {
 
 // ProfileReport digests the profiled run. ok is false when EnableProfile
 // was never called.
+//
+// Limiter attribution is partition-local: a window is credited to the
+// kernel's own min-next-event LP (the argmin of its NextEvent proposal)
+// when that event falls inside the window. When the kernel is the sole
+// Part — Kernel.Run, hence every in-process Federation — the local argmin
+// is the global one, so the table names the LP whose event set each
+// barrier.
 func (k *Kernel) ProfileReport() (ProfileReport, bool) {
 	if k.prof == nil {
 		return ProfileReport{}, false
 	}
 	r := ProfileReport{
-		Windows:        k.stats.Windows,
+		Windows:        k.Stats().Windows,
 		LimitedWindows: k.prof.limitedWindows,
 		Wall:           k.prof.wall,
 		Lookahead:      k.lookahead,

@@ -1,6 +1,10 @@
 package shard
 
-import "testing"
+import (
+	"testing"
+
+	"df3/internal/sim"
+)
 
 // TestProfileDeterminism is the profiler's contract: a profiled run must
 // be byte-identical to an unprofiled one — wall-clock reads are pure
@@ -131,4 +135,45 @@ func TestEnableProfileAfterRunPanics(t *testing.T) {
 		}
 	}()
 	k.EnableProfile()
+}
+
+// TestProfileLimiterAttribution pins the ring model's limiter table to
+// golden values recorded from an independent window loop, then checks a
+// stepped run: a paced driver runs the kernel in
+// short slices, most of which end with a proposal past the horizon that
+// opens no window and must not be credited — on a sole-Part kernel every
+// window has exactly one limiter.
+func TestProfileLimiterAttribution(t *testing.T) {
+	k := NewKernel(2, 5)
+	k.EnableProfile()
+	ringModel(t, k, 4, 200)
+	r, _ := k.ProfileReport()
+	if r.Windows != 36 || r.LimitedWindows != 36 {
+		t.Fatalf("windows %d, limited %d; want 36, 36", r.Windows, r.LimitedWindows)
+	}
+	want := []struct {
+		lp      int
+		windows uint64
+	}{{2, 13}, {3, 12}, {1, 6}, {0, 5}}
+	if len(r.Limiters) != len(want) {
+		t.Fatalf("limiters %+v, want %v", r.Limiters, want)
+	}
+	for i, w := range want {
+		if got := r.Limiters[i]; got.LP != w.lp || got.Windows != w.windows {
+			t.Errorf("limiter %d = LP %d × %d, want LP %d × %d", i, got.LP, got.Windows, w.lp, w.windows)
+		}
+	}
+
+	s := buildPing(2, 5, 40)
+	s.k.EnableProfile()
+	for until := sim.Time(0.7); until < 40; until += 0.7 {
+		s.k.Run(until)
+	}
+	s.k.Run(40)
+	if got := s.fingerprint(); got != pingFingerprint5 {
+		t.Fatalf("stepped fingerprint %s, want %s", got, pingFingerprint5)
+	}
+	if r, _ := s.k.ProfileReport(); r.Windows == 0 || r.LimitedWindows != uint64(r.Windows) {
+		t.Fatalf("stepped run: %d limited windows of %d", r.LimitedWindows, r.Windows)
+	}
 }

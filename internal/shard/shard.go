@@ -7,10 +7,16 @@
 // multi-scenario experiment). LPs are assigned to shards; each shard is a
 // worker goroutine that runs its LPs one after another through bounded time
 // windows. Cross-LP interaction never touches another LP's state directly:
-// it travels as a message through the sender's ordered outbox, is collected
-// at the window barrier, globally sorted by (arrival time, sender, sender
-// sequence) and scheduled onto the destination engines before the next
-// window opens.
+// it travels as a serialisable (kind, payload) Msg through the sender's
+// ordered outbox, is collected at the window barrier, sorted by (arrival
+// time, sender, sender sequence) and resolved by the scenario's Decoder
+// onto the destination engine before the next window opens.
+//
+// There is one window loop, Sync, and it drives Parts. A Kernel is the
+// in-process Part: it owns the LPs and fans each window out over its shard
+// workers, and Kernel.Run is Sync over that kernel alone. A multi-node
+// federation runs the same Sync over one partition Kernel per node (or a
+// wire.Client standing in for a remote one).
 //
 // Conservative correctness is the classic lookahead argument: every message
 // carries a delay of at least the kernel's lookahead L (the minimum
@@ -59,7 +65,7 @@ type LP struct {
 	// outbox holds messages sent by this LP in the current window. Only
 	// the LP's own shard worker appends (inside callbacks), and only the
 	// barrier drains, so no lock is needed.
-	outbox []message
+	outbox []Msg
 	// seq orders this LP's sends; with the sender ID it makes message
 	// order a pure function of simulation content.
 	seq uint64
@@ -70,21 +76,6 @@ type LP struct {
 
 // Shard reports the shard the LP is assigned to.
 func (lp *LP) Shard() int { return lp.shard }
-
-// message is one cross-LP event: run fn on dst's engine at time at. A
-// message sent with SendMsg carries (kind, payload) instead of fn and is
-// resolved through the kernel's Decoder at delivery — the only form that
-// can cross a process boundary.
-type message struct {
-	at       sim.Time
-	src, dst int
-	seq      uint64
-	size     float64
-	delay    sim.Time
-	fn       func()
-	kind     uint32
-	payload  []byte
-}
 
 // PairTraffic accounts messages and bytes that crossed one (src shard, dst
 // shard) boundary — the shard layer's view of boundary links.
@@ -100,7 +91,7 @@ type PairTraffic struct {
 	MinDelay sim.Time
 }
 
-// Stats is the kernel's execution accounting after Run.
+// Stats is a run's execution accounting, kept by the Sync that ran it.
 type Stats struct {
 	// Windows is the number of synchronization windows executed.
 	Windows int
@@ -126,24 +117,30 @@ func (s Stats) Speedup() float64 {
 	return float64(s.TotalEvents) / float64(s.CriticalEvents)
 }
 
-// Kernel owns the LPs, the shard workers and the barrier machinery.
+// Kernel owns the LPs, their outboxes and the shard workers: the
+// in-process Part. Run drives it through a Sync of its own.
 type Kernel struct {
 	lookahead sim.Time
 	shards    int
 	lps       []*LP
 	now       sim.Time
 	ran       bool
-	stats     Stats
-	boundary  map[[2]int]*PairTraffic
+	// sync is the window loop Run delegates to, built on the first Run
+	// with this kernel as its only Part.
+	sync *Sync
+	// sent and crossShard count the messages this kernel delivered between
+	// its own LPs, and the subset that crossed a local shard boundary.
+	sent, crossShard int64
+	boundary         map[[2]int]*PairTraffic
 	// perShard is scratch for per-window event counts.
 	perShard []uint64
 	// decoder resolves (kind, payload) messages into event closures.
 	decoder Decoder
 	// owned, when non-nil, restricts execution to the marked LPs: this
-	// kernel is one partition of a multi-node federation and runs under a
-	// Sync instead of Run. Unowned LPs exist (the whole scenario is built
-	// everywhere, proving every node runs the same recipe) but never
-	// advance; their traffic arrives through Deliver.
+	// kernel is one partition of a multi-node federation and runs under an
+	// external Sync instead of Run. Unowned LPs exist (the whole scenario
+	// is built everywhere, proving every node runs the same recipe) but
+	// never advance; their traffic arrives through Deliver.
 	owned []bool
 	// prof, when non-nil, accumulates busy/idle wall time and barrier
 	// stall attribution (profile.go). Nil on unprofiled runs: the hot path
@@ -287,41 +284,26 @@ func (k *Kernel) owns(lp *LP) bool { return k.owned == nil || k.owned[lp.ID] }
 // delivered; shared verbatim by every node of a federation.
 func (k *Kernel) SetDecoder(d Decoder) { k.decoder = d }
 
-// Send queues fn to run on dst's engine `delay` seconds after src's current
-// time, carrying `size` accounting bytes over the shard boundary. It must
-// be called from within src's own event callbacks (that is the only context
-// the sender's clock is meaningful in). Delays below the kernel lookahead
-// panic: they would let a message arrive inside an already-running window,
-// which is exactly the causality violation conservative synchronization
-// exists to rule out.
-//
-// A closure message cannot leave the process; scenarios that may run
-// partitioned use SendMsg instead.
-func (k *Kernel) Send(src, dst *LP, delay sim.Time, size units.Byte, fn func()) {
-	k.send(src, dst, delay, size, message{fn: fn})
-}
-
-// SendMsg queues a (kind, payload) message — the serialisable form of
-// Send, resolved by the kernel's Decoder at delivery time. Same clock and
-// lookahead contract as Send.
+// SendMsg queues a (kind, payload) message for dst, arriving `delay`
+// seconds after src's current time and carrying `size` accounting bytes
+// over the shard boundary; the kernel's Decoder resolves it into the event
+// to run on dst's engine at delivery. It must be called from within src's
+// own event callbacks (that is the only context the sender's clock is
+// meaningful in). Delays below the kernel lookahead panic: they would let
+// a message arrive inside an already-running window, which is exactly the
+// causality violation conservative synchronization exists to rule out.
 func (k *Kernel) SendMsg(src, dst *LP, delay sim.Time, size units.Byte, kind uint32, payload []byte) {
-	k.send(src, dst, delay, size, message{kind: kind, payload: payload})
-}
-
-func (k *Kernel) send(src, dst *LP, delay sim.Time, size units.Byte, m message) {
 	if k.lookahead == Infinite {
-		panic("shard: Send on a kernel with Infinite lookahead (no channels declared)")
+		panic("shard: SendMsg on a kernel with Infinite lookahead (no channels declared)")
 	}
 	if delay < k.lookahead {
 		panic(fmt.Sprintf("shard: %q→%q delay %v violates lookahead %v",
 			src.Name, dst.Name, delay, k.lookahead))
 	}
-	m.at = src.Engine.Now() + delay
-	m.src, m.dst = src.ID, dst.ID
-	m.seq = src.seq
-	m.size = float64(size)
-	m.delay = delay
-	src.outbox = append(src.outbox, m)
+	src.outbox = append(src.outbox, Msg{
+		At: src.Engine.Now() + delay, Src: src.ID, Dst: dst.ID, Seq: src.seq,
+		Size: float64(size), Delay: delay, Kind: kind, Payload: payload,
+	})
 	src.seq++
 }
 
@@ -345,92 +327,40 @@ func (k *Kernel) Boundary() []PairTraffic {
 	return out
 }
 
-// Stats returns execution accounting (valid after Run).
-func (k *Kernel) Stats() Stats { return k.stats }
+// Stats returns execution accounting (valid after Run): the totals of the
+// Sync that Run drives. A partition kernel under an external Sync has no
+// window accounting of its own — the coordinator's Sync.Stats holds it —
+// and reports only the messages it delivered between its own LPs.
+func (k *Kernel) Stats() Stats {
+	if k.sync != nil {
+		return k.sync.Stats()
+	}
+	return Stats{Sent: k.sent, CrossShard: k.crossShard}
+}
 
-// Run advances every LP to min(until, its own horizon) through conservative
-// windows, parallel across shards, barrier-synchronized, mailbox-drained.
+// Run advances every LP to min(until, its own horizon) through
+// conservative windows, parallel across shards, barrier-synchronized,
+// mailbox-drained: it runs a Sync whose only Part is this kernel.
+// Successive calls continue one window sequence, so drivers can pace the
+// kernel as a sim.Target.
 func (k *Kernel) Run(until sim.Time) {
-	k.ran = true
-	for {
-		end, any := k.nextBarrier(until)
-		if !any {
-			break
-		}
-		k.runWindow(end)
-		k.flush()
-		k.now = end
-		k.stats.Windows++
-		if end >= until {
-			break
-		}
+	var err error
+	if k.sync == nil {
+		k.sync, err = NewSync(k.lookahead, []Part{k})
 	}
-	// Catch-up window: events sitting exactly at `until` (outside any
-	// barrier, since windows end strictly after the events that define
-	// them) still fire, their sends are drained, and every LP's clock is
-	// left at min(until, its horizon) — exactly as a serial
-	// Engine.Run(until) per LP would leave it.
-	k.runWindow(until)
-	k.flush()
-	if k.now < until {
-		k.now = until
+	if err == nil {
+		err = k.sync.Run(until)
+	}
+	if err != nil {
+		// In process, a message that cannot be resolved is a scenario
+		// bug, exactly like a lookahead violation.
+		panic(err)
 	}
 }
 
-// nextBarrier picks the next window end: the earliest pending event across
-// live LPs plus the lookahead, clamped to `until`. It reports false when no
-// LP has work left before `until`.
-func (k *Kernel) nextBarrier(until sim.Time) (sim.Time, bool) {
-	if k.now >= until {
-		return 0, false
-	}
-	if k.lookahead == Infinite {
-		// Independent LPs: one window runs everything to its horizon.
-		return until, k.stats.Windows == 0
-	}
-	next := until
-	any := false
-	limiter := -1
-	for _, lp := range k.lps {
-		if lp.done || !k.owns(lp) {
-			continue
-		}
-		if t, ok := lp.Engine.NextEventTime(); ok && t <= lp.Until && t < next {
-			next = t
-			any = true
-			limiter = lp.ID
-		}
-	}
-	if !any {
-		return 0, false
-	}
-	if k.prof != nil && limiter >= 0 {
-		// This LP's min-next-event set the barrier: every other shard will
-		// idle once its own work inside the window drains.
-		for len(k.prof.limiter) <= limiter {
-			k.prof.limiter = append(k.prof.limiter, 0)
-		}
-		k.prof.limiter[limiter]++
-		k.prof.limitedWindows++
-	}
-	end := next + k.lookahead
-	if end > until {
-		end = until
-	}
-	// Guard against a zero-width window when an event sits exactly at the
-	// previous barrier with lookahead already consumed by clamping.
-	if end <= k.now {
-		end = k.now + k.lookahead
-		if end > until {
-			end = until
-		}
-	}
-	return end, true
-}
-
-// runWindow advances every live LP to min(end, its horizon), one worker
-// goroutine per shard, and folds the per-shard event counts into the
-// critical-path statistics.
+// runWindow advances every live owned LP to min(end, its horizon), one
+// worker goroutine per shard, and leaves each shard's fired-event count in
+// perShard.
 func (k *Kernel) runWindow(end sim.Time) {
 	for i := range k.perShard {
 		k.perShard[i] = 0
@@ -486,58 +416,22 @@ func (k *Kernel) runWindow(end sim.Time) {
 		d := lp.Engine.Fired() - lp.fired
 		lp.fired = lp.Engine.Fired()
 		k.perShard[lp.shard] += d
-		k.stats.TotalEvents += d
-	}
-	max := uint64(0)
-	for _, n := range k.perShard {
-		if n > max {
-			max = n
-		}
-	}
-	k.stats.CriticalEvents += max
-}
-
-// flush drains every outbox, sorts the messages into their global
-// deterministic order and schedules them onto the destination engines.
-// Delivery happens on the coordinating goroutine, strictly between windows.
-func (k *Kernel) flush() {
-	var batch []message
-	for _, lp := range k.lps {
-		batch = append(batch, lp.outbox...)
-		lp.outbox = lp.outbox[:0]
-	}
-	if err := k.deliverBatch(batch); err != nil {
-		// On the serial path a message that cannot be resolved is a
-		// scenario bug, exactly like a lookahead violation.
-		panic(err)
 	}
 }
 
-// deliverBatch sorts a message batch into (at, src, seq) order, resolves
-// payload messages through the decoder and schedules every message onto
-// its destination engine, with boundary-traffic accounting.
-func (k *Kernel) deliverBatch(batch []message) error {
-	if len(batch) == 0 {
-		return nil
-	}
-	sort.Slice(batch, func(i, j int) bool {
-		a, b := batch[i], batch[j]
-		if a.at != b.at {
-			return a.at < b.at
-		}
-		if a.src != b.src {
-			return a.src < b.src
-		}
-		return a.seq < b.seq
-	})
+// deliverBatch sorts a message batch into (At, Src, Seq) order, resolves
+// each message through the decoder and schedules it onto its destination
+// engine, with boundary-traffic accounting.
+func (k *Kernel) deliverBatch(batch []Msg) error {
+	SortMsgs(batch)
 	for _, m := range batch {
-		dst := k.lps[m.dst]
-		if m.at < dst.Engine.Now() {
+		dst := k.lps[m.Dst]
+		if m.At < dst.Engine.Now() {
 			panic(fmt.Sprintf("shard: message %q→%q at %v arrives in receiver past %v (lookahead too large?)",
-				k.lps[m.src].Name, dst.Name, m.at, dst.Engine.Now()))
+				k.lps[m.Src].Name, dst.Name, m.At, dst.Engine.Now()))
 		}
-		k.stats.Sent++
-		src := k.lps[m.src]
+		k.sent++
+		src := k.lps[m.Src]
 		pair := [2]int{src.shard, dst.shard}
 		pt := k.boundary[pair]
 		if pt == nil {
@@ -545,36 +439,33 @@ func (k *Kernel) deliverBatch(batch []message) error {
 			k.boundary[pair] = pt
 		}
 		pt.Messages++
-		pt.Bytes += m.size
-		if pt.Messages == 1 || m.delay < pt.MinDelay {
-			pt.MinDelay = m.delay
+		pt.Bytes += m.Size
+		if pt.Messages == 1 || m.Delay < pt.MinDelay {
+			pt.MinDelay = m.Delay
 		}
 		if src.shard != dst.shard {
-			k.stats.CrossShard++
+			k.crossShard++
 		}
-		fn := m.fn
-		if fn == nil {
-			if k.decoder == nil {
-				return fmt.Errorf("shard: message kind %d for %q but no decoder registered", m.kind, dst.Name)
-			}
-			var err error
-			fn, err = k.decoder(dst, m.kind, m.payload)
-			if err != nil {
-				return fmt.Errorf("shard: decode message kind %d for %q: %w", m.kind, dst.Name, err)
-			}
+		if k.decoder == nil {
+			return fmt.Errorf("shard: message kind %d for %q but no decoder registered", m.Kind, dst.Name)
 		}
-		dst.Engine.At(m.at, fn)
+		fn, err := k.decoder(dst, m.Kind, m.Payload)
+		if err != nil {
+			return fmt.Errorf("shard: decode message kind %d for %q: %w", m.Kind, dst.Name, err)
+		}
+		dst.Engine.At(m.At, fn)
 		// A delivered message can revive a drained LP.
-		if m.at <= dst.Until {
+		if m.At <= dst.Until {
 			dst.done = false
 		}
 	}
 	return nil
 }
 
-// The Part implementation: a kernel, usually restricted by Own, as one
-// partition under a Sync coordinator. The methods run strictly between
+// The Part implementation: the methods Sync drives, strictly between
 // windows on the coordinator's goroutine (or a worker's session loop).
+// Kernel.Run is the sole-Part case; Own restricts a kernel to one
+// partition of a multi-node federation.
 
 // OwnedLPs returns the IDs of the LPs this kernel executes.
 func (k *Kernel) OwnedLPs() ([]int, error) {
@@ -588,16 +479,20 @@ func (k *Kernel) OwnedLPs() ([]int, error) {
 }
 
 // NextEvent returns the earliest pending event across the kernel's live
-// owned LPs — its barrier proposal to the coordinator.
+// owned LPs — its barrier proposal to the coordinator. A profiled kernel
+// remembers which LP proposed it, for limiter attribution in RunWindow.
 func (k *Kernel) NextEvent() (sim.Time, bool, error) {
-	best, any := sim.Time(0), false
+	best, any, argmin := sim.Time(0), false, -1
 	for _, lp := range k.lps {
 		if lp.done || !k.owns(lp) {
 			continue
 		}
 		if t, ok := lp.Engine.NextEventTime(); ok && t <= lp.Until && (!any || t < best) {
-			best, any = t, true
+			best, any, argmin = t, true, lp.ID
 		}
+	}
+	if k.prof != nil {
+		k.prof.propose(argmin, best)
 	}
 	return best, any, nil
 }
@@ -606,38 +501,33 @@ func (k *Kernel) NextEvent() (sim.Time, bool, error) {
 // local shards), delivers partition-internal messages, and returns the
 // boundary messages plus the window's execution accounting. Partition-
 // internal delivery happens here rather than at the coordinator, but in
-// the same (at, src, seq) order the global sort would have given those
+// the same (At, Src, Seq) order the global sort would have given those
 // messages — per-engine delivery order, the only order an engine can
 // observe, is identical either way.
 func (k *Kernel) RunWindow(end sim.Time) (WindowResult, error) {
 	k.ran = true
+	if k.prof != nil {
+		k.prof.attribute(end)
+	}
 	k.runWindow(end)
 	res := WindowResult{PerShard: append([]uint64(nil), k.perShard...)}
-	sent0, cross0 := k.stats.Sent, k.stats.CrossShard
-	var local []message
+	sent0, cross0 := k.sent, k.crossShard
+	var local []Msg
 	for _, lp := range k.lps {
 		for _, m := range lp.outbox {
-			if k.owns(k.lps[m.dst]) {
+			if k.owns(k.lps[m.Dst]) {
 				local = append(local, m)
-				continue
+			} else {
+				res.Msgs = append(res.Msgs, m)
 			}
-			if m.fn != nil {
-				return WindowResult{}, fmt.Errorf(
-					"shard: closure message %q→%q cannot cross a partition boundary (use SendMsg)",
-					k.lps[m.src].Name, k.lps[m.dst].Name)
-			}
-			res.Msgs = append(res.Msgs, Msg{
-				At: m.at, Src: m.src, Dst: m.dst, Seq: m.seq,
-				Size: m.size, Delay: m.delay, Kind: m.kind, Payload: m.payload,
-			})
 		}
 		lp.outbox = lp.outbox[:0]
 	}
 	if err := k.deliverBatch(local); err != nil {
 		return WindowResult{}, err
 	}
-	res.Sent = k.stats.Sent - sent0
-	res.CrossShard = k.stats.CrossShard - cross0
+	res.Sent = k.sent - sent0
+	res.CrossShard = k.crossShard - cross0
 	if k.now < end {
 		k.now = end
 	}
@@ -649,18 +539,13 @@ func (k *Kernel) RunWindow(end sim.Time) (WindowResult, error) {
 // the owned destination engines.
 func (k *Kernel) Deliver(batch []Msg) error {
 	k.ran = true
-	msgs := make([]message, len(batch))
-	for i, m := range batch {
+	for _, m := range batch {
 		if m.Dst < 0 || m.Dst >= len(k.lps) {
 			return fmt.Errorf("shard: delivery for LP %d, kernel has %d", m.Dst, len(k.lps))
 		}
 		if !k.owns(k.lps[m.Dst]) {
 			return fmt.Errorf("shard: delivery for LP %d, which this partition does not own", m.Dst)
 		}
-		msgs[i] = message{
-			at: m.At, src: m.Src, dst: m.Dst, seq: m.Seq,
-			size: m.Size, delay: m.Delay, kind: m.Kind, payload: m.Payload,
-		}
 	}
-	return k.deliverBatch(msgs)
+	return k.deliverBatch(batch)
 }

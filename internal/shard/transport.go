@@ -1,21 +1,20 @@
-// Transport abstraction under the kernel's mailbox layer.
+// The window protocol: Sync and the Parts it drives.
 //
-// The in-process Kernel runs every LP itself; a federation that outgrows
-// one process splits its LPs into partitions, each executed by a Part.
-// A Part is the window-protocol view of one partition: report the
+// Sync is the only conservative window loop. It drives Parts; a Part is
+// the window-protocol view of one partition of the LPs: report the
 // earliest pending event, run a bounded window, hand over the messages
 // that left the partition, accept the sorted messages that enter it.
-// *Kernel itself implements Part (Own restricts execution to the local
-// partition), and internal/wire implements it over a socket — the same
-// conservative barriers and (at, src, seq) ordering either way, which is
-// what keeps an N-node run byte-identical to serial.
+// *Kernel implements Part — Kernel.Run is Sync over that kernel alone, and
+// Own restricts a kernel to one partition of a multi-node federation —
+// and internal/wire implements it over a socket. The same conservative
+// barriers and (at, src, seq) ordering run either way, which is what
+// keeps an N-node run byte-identical to serial.
 //
-// Closures cannot cross a process boundary, so partition-crossing
-// messages are data: a kind tag plus an opaque payload, resolved into an
-// event closure on the destination side by the Decoder the scenario
-// registers (city.Federation registers its inter-city job codec). Local
-// messages may still carry closures; only messages that leave the
-// partition must be serialisable.
+// Every cross-LP message is data: a kind tag plus an opaque payload
+// (Msg), resolved into an event closure on the destination side by the
+// Decoder the scenario registers (city.Federation registers its inter-city
+// job codec). There is no closure form, so a message that stays inside
+// the process and one that crosses to another node take the same path.
 package shard
 
 import (
@@ -26,10 +25,10 @@ import (
 	"df3/internal/sim"
 )
 
-// Msg is one serialisable cross-partition message: the mailbox entry as
-// it travels between Parts (and over the wire). At/Src/Seq carry the
-// kernel's deterministic delivery order; Kind/Payload carry the content,
-// resolved by the destination kernel's Decoder.
+// Msg is one serialisable cross-LP message: the entry in every outbox,
+// and the form it travels in between Parts (and over the wire). At/Src/Seq
+// carry the kernel's deterministic delivery order; Kind/Payload carry the
+// content, resolved by the destination kernel's Decoder.
 type Msg struct {
 	At       sim.Time
 	Src, Dst int
@@ -42,8 +41,8 @@ type Msg struct {
 
 // Decoder resolves a (kind, payload) message into the closure to run on
 // the destination LP's engine. Scenarios register one with SetDecoder;
-// it must be a pure function of its arguments so decoding on a remote
-// node reproduces exactly what a local closure would have done.
+// it must be a pure function of its arguments so decoding on any node
+// reproduces the same event.
 type Decoder func(dst *LP, kind uint32, payload []byte) (func(), error)
 
 // WindowResult is what one Part reports after running a window.
@@ -95,11 +94,11 @@ func SortMsgs(batch []Msg) {
 	})
 }
 
-// Sync is the multi-partition coordinator: the same conservative window
-// loop Kernel.Run executes, lifted over Parts. One local Kernel as the
-// only Part reproduces Kernel.Run exactly; N wire.Clients run the same
-// loop across processes. Stats mirror the serial kernel's: the critical
-// path is the per-window busiest shard across every partition.
+// Sync is the conservative window loop, over one or more Parts. Kernel.Run
+// is Sync with the kernel as its only Part; N partition kernels or
+// wire.Clients run the same loop across nodes and processes. Its Stats
+// are the run's execution accounting: the critical path is the
+// per-window busiest shard across every partition.
 type Sync struct {
 	lookahead sim.Time
 	parts     []Part
@@ -145,9 +144,11 @@ func (s *Sync) Stats() Stats { return s.stats }
 // traffic that goes over the wire in a multi-node run.
 func (s *Sync) Boundary() int64 { return s.boundary }
 
-// Run advances every partition to `until` through conservative windows —
-// the distributed twin of Kernel.Run, including its catch-up window for
-// events sitting exactly at the horizon.
+// Run advances every partition to `until` through conservative windows.
+// A final catch-up window runs events sitting exactly at `until` (outside
+// any barrier, since windows end strictly after the events that define
+// them), drains their sends, and leaves every LP's clock at min(until,
+// its horizon) — exactly as a serial Engine.Run(until) per LP would.
 func (s *Sync) Run(until sim.Time) error {
 	for {
 		end, any, err := s.nextBarrier(until)
@@ -177,12 +178,14 @@ func (s *Sync) Run(until sim.Time) error {
 
 // nextBarrier gathers every partition's earliest event (concurrently —
 // remote partitions answer over the network) and picks the next window
-// end exactly as Kernel.nextBarrier does.
+// end: the global minimum plus the lookahead, clamped to `until`. It
+// reports false when no partition has work left before `until`.
 func (s *Sync) nextBarrier(until sim.Time) (sim.Time, bool, error) {
 	if s.now >= until {
 		return 0, false, nil
 	}
 	if s.lookahead == Infinite {
+		// Independent LPs: one window runs everything to its horizon.
 		return until, s.stats.Windows == 0, nil
 	}
 	type proposal struct {
@@ -213,6 +216,8 @@ func (s *Sync) nextBarrier(until sim.Time) (sim.Time, bool, error) {
 	if end > until {
 		end = until
 	}
+	// Guard against a zero-width window when an event sits exactly at the
+	// previous barrier with lookahead already consumed by clamping.
 	if end <= s.now {
 		end = s.now + s.lookahead
 		if end > until {

@@ -228,10 +228,13 @@ func TestCancelConservationProperty(t *testing.T) {
 	}
 }
 
+// The Ticker tests cover periodic work on tick domains: the grid, a
+// subscriber stopping itself from inside its callback, and the panic on a
+// non-positive period.
 func TestTickerFiresPeriodically(t *testing.T) {
 	e := New()
 	var times []Time
-	Every(e, 10, func(now Time) { times = append(times, now) })
+	e.Domain(10).Subscribe(func(now Time) { times = append(times, now) })
 	e.Run(55)
 	want := []Time{10, 20, 30, 40, 50}
 	if len(times) != len(want) {
@@ -247,27 +250,34 @@ func TestTickerFiresPeriodically(t *testing.T) {
 func TestTickerStop(t *testing.T) {
 	e := New()
 	count := 0
-	var tk *Ticker
-	tk = Every(e, 1, func(now Time) {
+	var sub *Sub
+	sub = e.Domain(1).Subscribe(func(now Time) {
 		count++
 		if count == 5 {
-			tk.Stop()
+			sub.Stop()
 		}
 	})
 	e.Run(100)
 	if count != 5 {
 		t.Errorf("stopped ticker fired %d times, want 5", count)
 	}
-	tk.Stop() // double stop is safe
+	sub.Stop() // double stop is safe
+	if e.Pending() != 0 {
+		t.Errorf("%d events pending after the last subscriber stopped, want 0", e.Pending())
+	}
 }
 
 func TestTickerZeroPeriodPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("zero-period ticker did not panic")
-		}
-	}()
-	Every(New(), 0, func(Time) {})
+	for _, period := range []Time{0, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("tick domain with period %v did not panic", period)
+				}
+			}()
+			New().Domain(period)
+		}()
+	}
 }
 
 func TestCalendarMonths(t *testing.T) {
