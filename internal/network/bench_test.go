@@ -19,6 +19,20 @@ func BenchmarkSendOneHop(b *testing.B) {
 	e.Run(e.Now() + 1e6)
 }
 
+func BenchmarkSendMultiHop(b *testing.B) {
+	e := sim.New()
+	f, n := chain(e, LAN, Metro, Fibre)
+	deliver := func(sim.Time) {}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		f.Send(n[0], n[3], 16e3, deliver)
+		if e.Pending() > 1024 {
+			e.Run(e.Now() + 1)
+		}
+	}
+	e.Run(e.Now() + 1e6)
+}
+
 func BenchmarkRouteCached(b *testing.B) {
 	e := sim.New()
 	f := NewFabric(e)

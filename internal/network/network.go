@@ -7,6 +7,15 @@
 // are static paths configured by the scenario builder; the fabric delivers
 // a message by walking its path hop by hop on the simulation engine.
 //
+// A hop costs no map lookup and no allocation. Node tables (names,
+// adjacency, out-links, node state) are slices indexed by NodeID, and each
+// link carries its class's loss probability. The route cache holds every
+// path both as nodes and as resolved links; a generation counter, bumped by
+// each topology change or fault, marks cached paths stale instead of
+// discarding the cache. A message in flight is a pooled transfer record
+// scheduled as a transient engine event, which fires in exactly the order
+// a plain event would.
+//
 // Link classes follow the technologies the paper names (§III-B): building
 // Ethernet LAN, fibre to the Qarnot middleware, metro WAN between city
 // clusters, Internet to a remote datacenter, and the low-power IoT
@@ -47,6 +56,9 @@ type Link struct {
 	// outage is recognised as dead on arrival even if the link was
 	// repaired while it was in flight.
 	epoch uint32
+	// loss is the message-loss probability of the link's class, kept in
+	// step with the fabric's per-class table by SetLoss and Connect.
+	loss float64
 }
 
 // transferTime returns when a message of size bytes injected at now departs
@@ -104,21 +116,30 @@ var (
 // Fabric is a static-routing network on a simulation engine.
 type Fabric struct {
 	engine *sim.Engine
-	links  map[[2]NodeID]*Link
-	adj    map[NodeID][]NodeID    // neighbours in Connect order (determinism)
-	routes map[[2]NodeID][]NodeID // precomputed paths, endpoints included
-	names  map[NodeID]string
-	nextID NodeID
+	// Node tables, indexed by NodeID. out[n] holds n's outgoing links in
+	// Connect order — the adjacency route search walks, so routes are
+	// deterministic.
+	names []string
+	out   [][]*Link
+	// nodeDown marks failed endpoints (gateway outages): no message may
+	// originate, terminate or transit there.
+	nodeDown []bool
 
 	// pairs records undirected links in Connect order, so scenario code
 	// can enumerate the topology deterministically (fault arming).
 	pairs [][2]NodeID
-	// nodeDown marks failed endpoints (gateway outages): no message may
-	// originate, terminate or transit there.
-	nodeDown map[NodeID]bool
-	// loss is the per-class message-loss probability; draws come from
-	// lossRNG and happen only for classes with a positive probability, so
-	// a fabric with no loss configured makes no draws at all.
+	// routes caches paths by routeKey. An entry is current while its gen
+	// equals the fabric's; every topology change or fault bumps gen, so a
+	// fault marks the whole cache stale without discarding it.
+	routes map[uint64]*route
+	gen    uint64
+	// free is the pool of idle transfer records.
+	free []*transfer
+
+	// loss is the per-class message-loss probability, copied onto every
+	// link of the class; draws come from lossRNG and happen only on links
+	// with a positive probability, so a fabric with no loss configured
+	// makes no draws at all.
 	loss    map[string]float64
 	lossRNG *rng.Stream
 	lost    int64
@@ -132,46 +153,75 @@ type Fabric struct {
 	Tracer *trace.Recorder
 }
 
+// route is one cached path: its nodes (endpoints included) and the links
+// between them. Both are nil when the destination is unreachable.
+type route struct {
+	gen   uint64
+	nodes []NodeID
+	links []*Link
+}
+
+func routeKey(a, b NodeID) uint64 { return uint64(uint32(a))<<32 | uint64(uint32(b)) }
+
 // NewFabric returns an empty fabric.
 func NewFabric(e *sim.Engine) *Fabric {
-	return &Fabric{
-		engine:   e,
-		links:    map[[2]NodeID]*Link{},
-		adj:      map[NodeID][]NodeID{},
-		routes:   map[[2]NodeID][]NodeID{},
-		names:    map[NodeID]string{},
-		nodeDown: map[NodeID]bool{},
-		loss:     map[string]float64{},
-	}
+	return &Fabric{engine: e, routes: map[uint64]*route{}, loss: map[string]float64{}}
 }
 
 // AddNode registers a named endpoint and returns its id.
 func (f *Fabric) AddNode(name string) NodeID {
-	id := f.nextID
-	f.nextID++
-	f.names[id] = name
+	id := NodeID(len(f.names))
+	f.names = append(f.names, name)
+	f.out = append(f.out, nil)
+	f.nodeDown = append(f.nodeDown, false)
 	return id
 }
 
-// NodeName returns the registered name of a node.
-func (f *Fabric) NodeName(id NodeID) string { return f.names[id] }
+// known reports whether id was issued by AddNode.
+func (f *Fabric) known(id NodeID) bool { return id >= 0 && int(id) < len(f.names) }
+
+// NodeName returns the registered name of a node ("" for an unknown id).
+func (f *Fabric) NodeName(id NodeID) string {
+	if !f.known(id) {
+		return ""
+	}
+	return f.names[id]
+}
 
 // Connect adds a bidirectional link of the given class between a and b.
-// Reconnecting an existing pair replaces the links' parameters.
+// Reconnecting an existing pair replaces the links' parameters and
+// counters in place, so paths already resolved to them stay valid.
 func (f *Fabric) Connect(a, b NodeID, c Class) {
-	if f.links[[2]NodeID{a, b}] == nil {
-		f.adj[a] = append(f.adj[a], b)
-		f.adj[b] = append(f.adj[b], a)
+	if !f.known(a) || !f.known(b) {
+		panic(fmt.Sprintf("network: Connect of unknown node %d-%d", a, b))
+	}
+	ab, ba := f.Link(a, b), f.Link(b, a)
+	if ab == nil {
+		ab, ba = &Link{From: a, To: b}, &Link{From: b, To: a}
+		f.out[a] = append(f.out[a], ab)
+		f.out[b] = append(f.out[b], ba)
 		f.pairs = append(f.pairs, [2]NodeID{a, b})
 	}
 	stage := "hop:" + c.Name
-	f.links[[2]NodeID{a, b}] = &Link{From: a, To: b, Latency: c.Latency, Bandwidth: c.Bandwidth, Class: c.Name, stage: stage}
-	f.links[[2]NodeID{b, a}] = &Link{From: b, To: a, Latency: c.Latency, Bandwidth: c.Bandwidth, Class: c.Name, stage: stage}
-	f.routes = map[[2]NodeID][]NodeID{} // topology changed; recompute lazily
+	for _, l := range [2]*Link{ab, ba} {
+		*l = Link{From: l.From, To: l.To, Latency: c.Latency, Bandwidth: c.Bandwidth,
+			Class: c.Name, stage: stage, epoch: l.epoch, loss: f.loss[c.Name]}
+	}
+	f.gen++
 }
 
 // Link returns the directed link a→b, or nil.
-func (f *Fabric) Link(a, b NodeID) *Link { return f.links[[2]NodeID{a, b}] }
+func (f *Fabric) Link(a, b NodeID) *Link {
+	if !f.known(a) {
+		return nil
+	}
+	for _, l := range f.out[a] {
+		if l.To == b {
+			return l
+		}
+	}
+	return nil
+}
 
 // Pairs returns the undirected links in Connect order — the deterministic
 // enumeration fault processes arm over.
@@ -186,72 +236,80 @@ func (f *Fabric) Pairs() [][2]NodeID { return f.pairs }
 // dropped on arrival via the loss callback. Failing an unknown or already
 // failed link is a no-op.
 func (f *Fabric) FailLink(a, b NodeID) {
-	for _, l := range []*Link{f.links[[2]NodeID{a, b}], f.links[[2]NodeID{b, a}]} {
+	for _, l := range [2]*Link{f.Link(a, b), f.Link(b, a)} {
 		if l == nil || l.down {
 			continue
 		}
 		l.down = true
 		l.epoch++
 	}
-	f.routes = map[[2]NodeID][]NodeID{}
+	f.gen++
 }
 
 // RestoreLink returns a failed link to service.
 func (f *Fabric) RestoreLink(a, b NodeID) {
-	for _, l := range []*Link{f.links[[2]NodeID{a, b}], f.links[[2]NodeID{b, a}]} {
-		if l == nil || !l.down {
-			continue
+	for _, l := range [2]*Link{f.Link(a, b), f.Link(b, a)} {
+		if l != nil {
+			l.down = false
 		}
-		l.down = false
 	}
-	f.routes = map[[2]NodeID][]NodeID{}
+	f.gen++
 }
 
 // FailNode severs an endpoint: every route through it dies (a failed
 // gateway cuts its whole building off the fabric), sends to or from it
 // fail, and in-flight messages addressed to it are dropped on arrival.
+// Failing an unknown or already failed node is a no-op.
 func (f *Fabric) FailNode(n NodeID) {
-	if f.nodeDown[n] {
+	if !f.known(n) || f.nodeDown[n] {
 		return
 	}
 	f.nodeDown[n] = true
 	// Messages mid-flight on the node's links die with it.
-	for _, nb := range f.adj[n] {
-		f.FailLink(n, nb)
+	for _, l := range f.out[n] {
+		f.FailLink(n, l.To)
 	}
-	f.routes = map[[2]NodeID][]NodeID{}
+	f.gen++
 }
 
 // RestoreNode returns a failed endpoint (and its links) to service. Links
 // individually failed by FailLink come back too: node repair re-provisions
 // the attachment.
 func (f *Fabric) RestoreNode(n NodeID) {
-	if !f.nodeDown[n] {
+	if !f.NodeDown(n) {
 		return
 	}
-	delete(f.nodeDown, n)
-	for _, nb := range f.adj[n] {
+	f.nodeDown[n] = false
+	for _, l := range f.out[n] {
 		// Only raise links whose far end is alive.
-		if !f.nodeDown[nb] {
-			f.RestoreLink(n, nb)
+		if !f.nodeDown[l.To] {
+			f.RestoreLink(n, l.To)
 		}
 	}
-	f.routes = map[[2]NodeID][]NodeID{}
+	f.gen++
 }
 
-// NodeDown reports whether the endpoint is failed.
-func (f *Fabric) NodeDown(n NodeID) bool { return f.nodeDown[n] }
+// NodeDown reports whether the endpoint is failed (false for an unknown
+// id).
+func (f *Fabric) NodeDown(n NodeID) bool { return f.known(n) && f.nodeDown[n] }
 
 // SetLoss sets the per-message loss probability for every link of the
-// named class. Call SetLossRNG first; a fabric with no positive
-// probabilities never draws from the stream, preserving determinism of
-// loss-free scenarios.
+// named class, including links connected later. Call SetLossRNG first; a
+// fabric with no positive probabilities never draws from the stream,
+// preserving determinism of loss-free scenarios.
 func (f *Fabric) SetLoss(class string, p float64) {
-	if p <= 0 {
+	if p > 0 {
+		f.loss[class] = p
+	} else {
 		delete(f.loss, class)
-		return
 	}
-	f.loss[class] = p
+	for _, links := range f.out {
+		for _, l := range links {
+			if l.Class == class {
+				l.loss = p
+			}
+		}
+	}
 }
 
 // SetLossRNG installs the random stream wire-loss draws come from.
@@ -261,106 +319,102 @@ func (f *Fabric) SetLossRNG(s *rng.Stream) { f.lossRNG = s }
 // loss, failed links, failed destination nodes).
 func (f *Fabric) LostMessages() int64 { return f.lost }
 
-// drop accounts a lost message and notifies the observers.
-func (f *Fabric) drop(from, to NodeID, size units.Byte, dropped func()) {
-	f.lost++
-	if f.OnLoss != nil {
-		f.OnLoss(from, to, size)
-	}
-	if dropped != nil {
-		dropped()
-	}
-}
-
-// usable reports whether a message may be injected into the directed link
-// a→b right now.
-func (f *Fabric) usable(a, b NodeID) bool {
-	if f.nodeDown[a] || f.nodeDown[b] {
-		return false
-	}
-	l := f.links[[2]NodeID{a, b}]
-	return l != nil && !l.down
-}
-
 // Route computes (and caches) the minimum-hop path from a to b with BFS,
 // routing around failed links and failed nodes. It returns nil when b is
 // unreachable (including when either endpoint is down).
 func (f *Fabric) Route(a, b NodeID) []NodeID {
-	if f.nodeDown[a] || f.nodeDown[b] {
-		return nil
+	nodes, _ := f.route(a, b)
+	return nodes
+}
+
+// route returns the current path a→b as nodes and links, searching on a
+// cache miss or when the cached entry predates the last topology change.
+func (f *Fabric) route(a, b NodeID) ([]NodeID, []*Link) {
+	if f.NodeDown(a) || f.NodeDown(b) {
+		return nil, nil
 	}
+	k := routeKey(a, b)
+	r := f.routes[k]
+	if r == nil {
+		r = &route{}
+		f.routes[k] = r
+	} else if r.gen == f.gen {
+		return r.nodes, r.links
+	}
+	// Fresh slices, never the stale entry's: messages in flight still
+	// walk the links they were sent on.
+	r.gen = f.gen
+	r.nodes, r.links = f.search(a, b)
+	return r.nodes, r.links
+}
+
+// search finds the minimum-hop path a→b by BFS over live links and nodes,
+// visiting each node's links in Connect order. It returns nil slices when
+// b is unreachable.
+func (f *Fabric) search(a, b NodeID) ([]NodeID, []*Link) {
 	if a == b {
-		return []NodeID{a}
+		return []NodeID{a}, nil
 	}
-	if r, ok := f.routes[[2]NodeID{a, b}]; ok {
-		return r
+	if !f.known(a) || !f.known(b) {
+		return nil, nil
 	}
-	// BFS over the live link set.
-	prev := map[NodeID]NodeID{a: a}
-	frontier := []NodeID{a}
-	for len(frontier) > 0 {
-		if _, seen := prev[b]; seen {
-			break
-		}
-		var next []NodeID
-		for _, n := range frontier {
-			for _, nb := range f.adj[n] {
-				if _, seen := prev[nb]; seen {
-					continue
-				}
-				if !f.usable(n, nb) {
-					continue
-				}
-				prev[nb] = n
-				next = append(next, nb)
+	// via[n] is the link the search first reached n over.
+	via := make([]*Link, len(f.names))
+	queue := []NodeID{a}
+	for len(queue) > 0 && via[b] == nil {
+		n := queue[0]
+		queue = queue[1:]
+		for _, l := range f.out[n] {
+			if l.To == a || via[l.To] != nil || l.down || f.nodeDown[l.To] {
+				continue
 			}
-		}
-		frontier = next
-	}
-	if _, seen := prev[b]; !seen {
-		f.routes[[2]NodeID{a, b}] = nil
-		return nil
-	}
-	var rev []NodeID
-	for n := b; ; n = prev[n] {
-		rev = append(rev, n)
-		if n == a {
-			break
+			via[l.To] = l
+			queue = append(queue, l.To)
 		}
 	}
-	path := make([]NodeID, len(rev))
-	for i := range rev {
-		path[i] = rev[len(rev)-1-i]
+	if via[b] == nil {
+		return nil, nil
 	}
-	f.routes[[2]NodeID{a, b}] = path
-	return path
+	hops := 0
+	for n := b; n != a; n = via[n].From {
+		hops++
+	}
+	nodes := make([]NodeID, hops+1)
+	links := make([]*Link, hops)
+	nodes[0] = a
+	for n, i := b, hops; i > 0; n, i = via[n].From, i-1 {
+		nodes[i], links[i-1] = n, via[n]
+	}
+	return nodes, links
 }
 
 // SetRoute overrides the path between two endpoints (must start at a and
-// end at b over existing links).
+// end at b over existing links). The override holds until the next
+// topology change or fault.
 func (f *Fabric) SetRoute(a, b NodeID, path []NodeID) error {
 	if len(path) < 1 || path[0] != a || path[len(path)-1] != b {
 		return fmt.Errorf("network: path endpoints do not match %d..%d", a, b)
 	}
-	for i := 0; i+1 < len(path); i++ {
-		if f.Link(path[i], path[i+1]) == nil {
+	links := make([]*Link, len(path)-1)
+	for i := range links {
+		if links[i] = f.Link(path[i], path[i+1]); links[i] == nil {
 			return fmt.Errorf("network: no link %d->%d on path", path[i], path[i+1])
 		}
 	}
-	f.routes[[2]NodeID{a, b}] = path
+	f.routes[routeKey(a, b)] = &route{gen: f.gen, nodes: path, links: links}
 	return nil
 }
 
 // PathLatency returns the summed link latency a→b ignoring serialisation,
 // or -1 when unreachable. Useful for admission decisions.
 func (f *Fabric) PathLatency(a, b NodeID) sim.Time {
-	path := f.Route(a, b)
-	if path == nil {
+	nodes, links := f.route(a, b)
+	if nodes == nil {
 		return -1
 	}
 	var total sim.Time
-	for i := 0; i+1 < len(path); i++ {
-		total += f.Link(path[i], path[i+1]).Latency
+	for _, l := range links {
+		total += l.Latency
 	}
 	return total
 }
@@ -391,73 +445,133 @@ func (f *Fabric) SendEx(a, b NodeID, size units.Byte, deliver func(at sim.Time),
 // decomposes down to individual links in the trace. With no Tracer it is
 // exactly SendEx — the span ids stay zero and every span call no-ops.
 func (f *Fabric) SendTraced(a, b NodeID, size units.Byte, parent trace.SpanID, deliver func(at sim.Time), dropped func()) bool {
-	path := f.Route(a, b)
-	if path == nil {
+	nodes, links := f.route(a, b)
+	if nodes == nil {
 		if f.Tracer != nil {
 			f.Tracer.Instant(f.engine.Now(), "net:unreachable", 0, parent,
-				f.names[a]+"→"+f.names[b])
+				f.NodeName(a)+"→"+f.NodeName(b))
 		}
 		return false
 	}
-	if len(path) == 1 { // local delivery
-		f.engine.After(0, func() { deliver(f.engine.Now()) })
+	t := f.newTransfer()
+	t.links, t.size, t.deliver, t.dropped = links, size, deliver, dropped
+	if len(links) == 0 { // local delivery
+		f.engine.AfterTransient(0, t.arrive)
 		return true
 	}
-	var msg trace.SpanID
 	if f.Tracer != nil {
-		msg = f.Tracer.BeginSpan(f.engine.Now(), "net", 0, parent)
+		t.msg = f.Tracer.BeginSpan(f.engine.Now(), "net", 0, parent)
 	}
-	f.hop(path, 0, size, msg, deliver, dropped)
+	f.hop(t)
 	return true
 }
 
-// hop forwards the message across path[i]→path[i+1] and recurses. msg is
-// the transfer's span (0 when untraced); each hop opens a child under it.
-func (f *Fabric) hop(path []NodeID, i int, size units.Byte, msg trace.SpanID, deliver func(at sim.Time), dropped func()) {
-	from, to := path[i], path[i+1]
-	if !f.usable(from, to) {
+// transfer is one message in flight: the links of its path, the hop it
+// is on, and what that hop captured at injection. Records are pooled per
+// fabric, and arrive is bound once when a record is made, so forwarding a
+// message allocates nothing.
+type transfer struct {
+	f       *Fabric
+	links   []*Link
+	i       int // index into links of the hop in flight
+	size    units.Byte
+	deliver func(at sim.Time)
+	dropped func()
+	// msg is the transfer's span and hs the current hop's (0 untraced).
+	msg, hs trace.SpanID
+	// epoch is links[i].epoch at injection; lose is the hop's loss draw.
+	epoch  uint32
+	lose   bool
+	arrive func()
+}
+
+// newTransfer takes a record from the pool, making one when it is empty.
+func (f *Fabric) newTransfer() *transfer {
+	if n := len(f.free); n > 0 {
+		t := f.free[n-1]
+		f.free = f.free[:n-1]
+		return t
+	}
+	t := &transfer{f: f}
+	t.arrive = t.land
+	return t
+}
+
+// release returns t to the pool, cleared so its callbacks' captures stay
+// collectable.
+func (f *Fabric) release(t *transfer) {
+	*t = transfer{f: f, arrive: t.arrive}
+	f.free = append(f.free, t)
+}
+
+// hop injects t into links[t.i] and schedules its arrival at the far end.
+func (f *Fabric) hop(t *transfer) {
+	l := t.links[t.i]
+	now := f.engine.Now()
+	if l.down || f.nodeDown[l.From] || f.nodeDown[l.To] {
 		// The path decayed under a multi-hop message: it dies at the dead
 		// hop, like a frame forwarded into a downed port.
-		if msg != 0 {
-			f.Tracer.EndSpanDetail(f.engine.Now(), msg, "lost:dead-hop")
+		if t.msg != 0 {
+			f.Tracer.EndSpanDetail(now, t.msg, "lost:dead-hop")
 		}
-		f.drop(from, to, size, dropped)
+		f.drop(t, l)
 		return
 	}
-	l := f.Link(from, to)
 	// Random wire loss: drawn at injection, manifested at arrival time (a
 	// corrupt frame still occupies the pipe).
-	lose := false
-	if p := f.loss[l.Class]; p > 0 && f.lossRNG != nil && f.lossRNG.Float64() < p {
-		lose = true
+	t.lose = l.loss > 0 && f.lossRNG != nil && f.lossRNG.Float64() < l.loss
+	t.epoch = l.epoch
+	_, at := l.transferTime(now, t.size)
+	if t.msg != 0 {
+		t.hs = f.Tracer.BeginSpan(now, l.stage, 0, t.msg)
 	}
-	epoch := l.epoch
-	_, arrive := l.transferTime(f.engine.Now(), size)
-	var hs trace.SpanID
-	if msg != 0 {
-		hs = f.Tracer.BeginSpan(f.engine.Now(), l.stage, 0, msg)
-	}
-	f.engine.At(arrive, func() {
+	f.engine.AtTransient(at, t.arrive)
+}
+
+// land completes the hop in flight, if any, then forwards t or ends it.
+// The record returns to the pool before deliver or dropped runs, so a
+// callback may send again at once.
+func (t *transfer) land() {
+	f := t.f
+	now := f.engine.Now()
+	if len(t.links) > 0 {
+		l := t.links[t.i]
 		// A link that failed while the message was in flight ate it, even
 		// if the link was repaired before the arrival instant.
-		if lose || l.down || l.epoch != epoch || f.nodeDown[to] {
-			if msg != 0 {
-				f.Tracer.EndSpanDetail(f.engine.Now(), hs, "lost")
-				f.Tracer.EndSpanDetail(f.engine.Now(), msg, "lost")
+		if t.lose || l.down || l.epoch != t.epoch || f.nodeDown[l.To] {
+			if t.msg != 0 {
+				f.Tracer.EndSpanDetail(now, t.hs, "lost")
+				f.Tracer.EndSpanDetail(now, t.msg, "lost")
 			}
-			f.drop(from, to, size, dropped)
+			f.drop(t, l)
 			return
 		}
-		if msg != 0 {
-			f.Tracer.EndSpan(f.engine.Now(), hs)
+		if t.msg != 0 {
+			f.Tracer.EndSpan(now, t.hs)
 		}
-		if i+2 >= len(path) {
-			if msg != 0 {
-				f.Tracer.EndSpanDetail(f.engine.Now(), msg, "delivered")
-			}
-			deliver(f.engine.Now())
+		if t.i++; t.i < len(t.links) {
+			f.hop(t)
 			return
 		}
-		f.hop(path, i+1, size, msg, deliver, dropped)
-	})
+		if t.msg != 0 {
+			f.Tracer.EndSpanDetail(now, t.msg, "delivered")
+		}
+	}
+	deliver := t.deliver
+	f.release(t)
+	deliver(now)
+}
+
+// drop ends t as lost on link l: it counts the loss, then notifies OnLoss
+// and t's loss continuation.
+func (f *Fabric) drop(t *transfer, l *Link) {
+	size, dropped := t.size, t.dropped
+	f.release(t)
+	f.lost++
+	if f.OnLoss != nil {
+		f.OnLoss(l.From, l.To, size)
+	}
+	if dropped != nil {
+		dropped()
+	}
 }

@@ -128,11 +128,13 @@ func (p *Paced) LastSliceReached() Time {
 }
 
 // Stop makes Drive return after the slice currently executing. Safe from
-// any goroutine.
+// any goroutine. Stop is sticky: a Stop issued before Drive begins makes
+// that Drive return without advancing, so a Stop racing a Drive that is
+// still starting up is never lost.
 func (p *Paced) Stop() { p.stopped.Store(true) }
 
 // Drive paces t to until, returning when the horizon is reached or Stop
-// is called. Injections pending at return stay queued.
+// has been called. Injections pending at return stay queued.
 func (p *Paced) Drive(t Target, until Time) {
 	speed := p.Speed
 	if speed <= 0 {
@@ -159,7 +161,6 @@ func (p *Paced) Drive(t Target, until Time) {
 	if minSlice > slice {
 		minSlice = slice
 	}
-	p.stopped.Store(false)
 	wall0 := clk.Now()
 	sim0 := t.Now()
 	for !p.stopped.Load() {

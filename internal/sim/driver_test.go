@@ -131,6 +131,21 @@ func TestPacedStop(t *testing.T) {
 	}
 }
 
+// A Stop that lands before Drive starts (Live.Stop racing the driver
+// goroutine's start-up) must end that Drive without advancing the clock.
+func TestPacedStopBeforeDrive(t *testing.T) {
+	e := New()
+	fired := false
+	e.At(1, func() { fired = true })
+	clk := &fakeClock{}
+	p := &Paced{Speed: 10, Tick: 100 * time.Millisecond, Clock: clk}
+	p.Stop()
+	p.Drive(e, 50)
+	if e.Now() != 0 || fired || p.Slices() != 0 {
+		t.Fatalf("stopped drive advanced: now %v, fired %v, slices %d", e.Now(), fired, p.Slices())
+	}
+}
+
 func TestInjectQueueClose(t *testing.T) {
 	q := NewInjectQueue()
 	if _, ok := q.Inject(func(uint64) {}); !ok {
